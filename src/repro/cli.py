@@ -9,7 +9,8 @@ Commands
 ``serve``      batched viewshed query service (JSON lines over TCP)
 ``scenarios``  inspect the declarative workload matrix (repro.scenarios)
 ``perf-gate``  CI perf-regression gate over the pinned bench rows
-``info``       library version and experiment inventory
+``info``       library version, numpy / compiled core / guard mode, and
+               the experiment inventory
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    sub.add_parser("info", help="version + experiment inventory")
+    sub.add_parser(
+        "info", help="version, numpy, compiled core, guard mode, experiments"
+    )
     return parser
 
 
@@ -396,9 +399,31 @@ def _cmd_perf_gate(args: argparse.Namespace) -> int:
 
 def _cmd_info(_args: argparse.Namespace) -> int:
     from repro.bench.experiments import ALL_EXPERIMENTS
+    from repro.envelope import _ccore
+    from repro.reliability import guard
     from repro.terrain import GENERATORS
 
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:  # pragma: no cover - numpy ships in the toolchain
+        numpy_version = "absent"
+    if not guard.GUARDS_ENABLED:
+        guard_mode = "off"
+    elif guard.GUARDED_DISPATCH:
+        guard_mode = "guarded (faults retry on the python path)"
+    else:
+        guard_mode = "strict (faults raise KernelFault)"
+
     print(f"repro {__version__}")
+    print(f"numpy: {numpy_version}")
+    print(f"compiled core: {'loaded' if _ccore.HAVE_CCORE else 'absent'}")
+    print(
+        "compiled default:"
+        f" {'active' if _ccore.COMPILED_DEFAULT else 'inactive'}"
+    )
+    print(f"guard mode: {guard_mode}")
     print(f"terrain generators: {', '.join(sorted(GENERATORS))}")
     print(f"experiments: {', '.join(ALL_EXPERIMENTS)}")
     print("docs: README.md, docs/ARCHITECTURE.md, docs/BENCHMARKS.md")

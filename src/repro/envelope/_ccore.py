@@ -23,6 +23,11 @@ behind two flags and two functions:
     merged window — nothing was committed, so the caller's guard
     machinery can retry through the reference path.
 
+``order_edges(lanes, sign)``
+    The front-to-back ordering: the plane sweep's constraint pairs
+    and the Kahn order over a terrain's map lanes, in two C calls
+    (see :mod:`repro.ordering.sweep` for the guard around it).
+
 ``compute(profile, seg, eps)``
     The checked path: same sweep, ``commit=0`` — **no mutation**.
     Returns the merged window as Python lists so the guard layer can
@@ -54,6 +59,11 @@ ST_DONE = 1
 ST_GROW = 2
 ST_FALLBACK = 3
 ST_FAULT = 5
+
+#: Status codes of ``repro_order_constraints`` / ``repro_toposort``
+#: (keep in sync with the ``ORD_*`` defines in ``_ccore_build.py``).
+ORD_OOM = -1
+ORD_MISSING = -2
 
 
 def _env_enabled() -> bool:
@@ -202,9 +212,46 @@ if HAVE_CCORE:
             )
         return None  # ST_FALLBACK
 
+    def order_edges(lanes, sign: int):
+        """Constraint pairs and front-to-back order of the edges whose
+        map lanes are the rows ``x1, y1, x2, y2`` of ``lanes`` (each
+        row C-contiguous float64, no NaN).
+
+        Returns ``(constraints, order)``: an ``(m, 2)`` int64 array of
+        ``(front, back)`` pairs, identical to
+        :func:`repro.ordering.sweep.order_constraints`, and the int64
+        Kahn order for ``sign`` (``1``: smallest ready index first,
+        ``-1``: largest), shorter than ``n`` when the constraint graph
+        has a cycle.
+        """
+        import numpy as np
+
+        from repro.errors import OrderingError
+
+        n = lanes.shape[1]
+        rows = [ffi.from_buffer("double[]", lanes[r]) for r in range(4)]
+        cons = np.empty((3 * n, 2), dtype=np.int64)
+        m = lib.repro_order_constraints(
+            *rows, n, ffi.from_buffer("int64_t[]", cons)
+        )
+        if m == ORD_MISSING:
+            raise OrderingError("a segment went missing from the sweep status")
+        if m == ORD_OOM:
+            raise MemoryError("ordering sweep scratch allocation failed")
+        cons = cons[:m]
+        order = np.empty(n, dtype=np.int64)
+        k = lib.repro_toposort(
+            n, ffi.from_buffer("int64_t[]", cons), m, sign,
+            ffi.from_buffer("int64_t[]", order),
+        )
+        if k == ORD_OOM:
+            raise MemoryError("toposort scratch allocation failed")
+        return cons, order[:k]
+
 else:  # pragma: no cover - the no-compiler install
     ffi = None
     lib = None
+    order_edges = None
 
     def insert_packed(profile, seg, eps: float):
         return None

@@ -20,6 +20,14 @@ call** against the :class:`~repro.envelope.packed.PackedProfile`
   growth prefers the cheaper fitting side, reallocation is signalled
   back to Python — the amortized-doubling grow stays Python-side).
 
+It also holds the front-to-back ordering of
+:mod:`repro.ordering.sweep` as two calls over the map lanes of a
+terrain's :class:`~repro.terrain.edge_table.EdgeTable`:
+``repro_order_constraints`` (the plane sweep of ``order_constraints``,
+pair for pair) and ``repro_toposort`` (the heap-driven Kahn sort of
+``front_to_back_order``, both tie-breaks).  Both allocate their own
+scratch per call and free it before returning.
+
 Bit-exactness contract: every float expression below is a literal
 transcription of the pure-Python scalar loop (``_line_z`` endpoint
 shortcuts, sign predicates, ``t = du / (du - dv)`` crossing parameter,
@@ -56,6 +64,11 @@ double *repro_parts_ptr(void);
 double *repro_cross_ptr(void);
 double *repro_merged_ptr(int field);
 int64_t *repro_merged_src_ptr(void);
+int64_t repro_order_constraints(
+    const double *x1, const double *y1, const double *x2,
+    const double *y2, int64_t n, int64_t *cons);
+int64_t repro_toposort(
+    int64_t n, const int64_t *cons, int64_t m, int sign, int64_t *order);
 """
 
 C_SOURCE = r"""
@@ -567,6 +580,249 @@ COMMIT:
     state[1] = end;
     out[O_SYNCED] = synced;
     return ST_DONE;
+}
+
+/* ---- front-to-back ordering ----------------------------------------
+ *
+ * The plane sweep of repro.ordering.sweep.order_constraints and the
+ * Kahn sort of front_to_back_order, transcribed literally: the same
+ * x_at / lerp endpoint shortcuts, the horizontal-edge max, Python's
+ * max/min argument order in in_front_comparison (max(a, b) keeps a
+ * unless b > a), the (y, kind, idx) event order, the tie on source
+ * (= the edge index), the bisection of locate() and the remove-scan.
+ * The constraint list therefore comes out pair for pair, in the same
+ * order, as the Python sweep's. */
+
+/* Status codes of repro_order_constraints / repro_toposort (mirrored
+ * in repro/envelope/_ccore.py). */
+#define ORD_OOM     (-1)  /* scratch allocation failed               */
+#define ORD_MISSING (-2)  /* a removal did not find its segment      */
+
+typedef struct {
+    const double *x1, *y1, *x2, *y2;
+} MapLanes;
+
+/* MapSegment.x_at: horizontal edges answer their larger x; otherwise
+ * the endpoint shortcuts and lerp of line_z. */
+static double map_x_at(const MapLanes *m, int64_t i, double y)
+{
+    double a = m->x1[i], b = m->x2[i];
+    if (m->y1[i] == m->y2[i]) return a >= b ? a : b;
+    return line_z(m->y1[i], a, m->y2[i], b, y);
+}
+
+/* in_front_comparison(i, j): +1 when i is in front of j. */
+static int in_front(const MapLanes *m, int64_t i, int64_t j)
+{
+    double lo = m->y1[j] > m->y1[i] ? m->y1[j] : m->y1[i];
+    double hi = m->y2[j] < m->y2[i] ? m->y2[j] : m->y2[i];
+    double ym, xa, xb;
+    if (hi <= lo) return 0;
+    ym = 0.5 * (lo + hi);
+    xa = map_x_at(m, i, ym);
+    xb = map_x_at(m, j, ym);
+    if (xa > xb) return 1;
+    if (xa < xb) return -1;
+    return 0;
+}
+
+/* _StatusEntry.__lt__: status entry i sorts before entry j. */
+static int status_lt(const MapLanes *m, int64_t i, int64_t j)
+{
+    int c = in_front(m, i, j);
+    if (c != 0) return c < 0;
+    return i < j;
+}
+
+/* locate(): first status position whose entry does not sort before
+ * idx. */
+static int64_t status_locate(const MapLanes *m, const int64_t *status,
+                             int64_t len, int64_t idx)
+{
+    int64_t lo = 0, hi = len, mid;
+    while (lo < hi) {
+        mid = (lo + hi) / 2;
+        if (status_lt(m, status[mid], idx)) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+/* One sweep event; key = kind * n + idx, so (y, key) orders events
+ * as the Python sweep's (y, kind, idx) tuples do. */
+typedef struct {
+    double y;
+    int64_t key;
+} SweepEvent;
+
+static int event_cmp(const void *pa, const void *pb)
+{
+    const SweepEvent *a = (const SweepEvent *)pa;
+    const SweepEvent *b = (const SweepEvent *)pb;
+    if (a->y < b->y) return -1;
+    if (a->y > b->y) return 1;
+    return (a->key > b->key) - (a->key < b->key);
+}
+
+/* All (front, back) constraints of the sweep, written as int64 pairs
+ * into cons (capacity 3n pairs: at most two per insertion and one per
+ * removal).  Returns the pair count, or ORD_OOM / ORD_MISSING. */
+int64_t repro_order_constraints(
+    const double *x1, const double *y1, const double *x2,
+    const double *y2, int64_t n, int64_t *cons)
+{
+    MapLanes m;
+    SweepEvent *ev;
+    int64_t *status;
+    int64_t ne = 0, len = 0, nc = 0, e, i;
+
+    if (n <= 0) return 0;
+    m.x1 = x1; m.y1 = y1; m.x2 = x2; m.y2 = y2;
+    ev = (SweepEvent *)malloc((size_t)(2 * n) * sizeof(SweepEvent));
+    status = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    if (!ev || !status) {
+        free(ev);
+        free(status);
+        return ORD_OOM;
+    }
+    /* Kinds at equal y: removals (0) before degenerate horizontals
+     * (1) before insertions (2). */
+    for (i = 0; i < n; i++) {
+        if (y1[i] == y2[i]) {
+            ev[ne].y = y1[i]; ev[ne].key = n + i; ne++;
+        } else {
+            ev[ne].y = y1[i]; ev[ne].key = 2 * n + i; ne++;
+            ev[ne].y = y2[i]; ev[ne].key = i; ne++;
+        }
+    }
+    qsort(ev, (size_t)ne, sizeof(SweepEvent), event_cmp);
+
+    for (e = 0; e < ne; e++) {
+        int64_t kind = ev[e].key / n, idx = ev[e].key % n;
+        int64_t pos = status_locate(&m, status, len, idx), scan;
+        if (kind == 0) {
+            /* remove(): the comparator can place equal-at-midpoint
+             * entries either side; scan for the exact source. */
+            scan = pos;
+            while (scan < len && status[scan] != idx) scan++;
+            if (scan == len) {
+                scan = pos - 1;
+                while (scan >= 0 && status[scan] != idx) scan--;
+            }
+            if (scan < 0) {
+                free(ev);
+                free(status);
+                return ORD_MISSING;
+            }
+            memmove(status + scan, status + scan + 1,
+                    (size_t)(len - scan - 1) * sizeof(int64_t));
+            len--;
+            if (0 < scan && scan < len) {
+                /* Newly adjacent pair (left = behind, right = front). */
+                cons[2 * nc] = status[scan];
+                cons[2 * nc + 1] = status[scan - 1];
+                nc++;
+            }
+            continue;
+        }
+        memmove(status + pos + 1, status + pos,
+                (size_t)(len - pos) * sizeof(int64_t));
+        status[pos] = idx;
+        len++;
+        if (pos > 0) {
+            cons[2 * nc] = idx;
+            cons[2 * nc + 1] = status[pos - 1];
+            nc++;
+        }
+        if (pos + 1 < len) {
+            cons[2 * nc] = status[pos + 1];
+            cons[2 * nc + 1] = idx;
+            nc++;
+        }
+        if (kind == 1) {
+            /* Degenerate horizontal: insert + record + remove. */
+            memmove(status + pos, status + pos + 1,
+                    (size_t)(len - pos - 1) * sizeof(int64_t));
+            len--;
+        }
+    }
+    free(ev);
+    free(status);
+    return nc;
+}
+
+static void heap_push(int64_t *heap, int64_t *size, int64_t key)
+{
+    int64_t i = (*size)++, parent;
+    while (i > 0) {
+        parent = (i - 1) / 2;
+        if (heap[parent] <= key) break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = key;
+}
+
+static int64_t heap_pop(int64_t *heap, int64_t *size)
+{
+    int64_t top = heap[0], last = heap[--(*size)], i = 0, child;
+    while ((child = 2 * i + 1) < *size) {
+        if (child + 1 < *size && heap[child + 1] < heap[child]) child++;
+        if (last <= heap[child]) break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = last;
+    return top;
+}
+
+/* Kahn's topological sort of n edges under the m (front, back) pairs
+ * in cons: among ready edges the smallest index goes first (sign = 1)
+ * or the largest (sign = -1) -- the unique order heapq produces, so
+ * duplicate pairs need no dedup (each adds and removes one unit of
+ * in-degree at the same step).  Self-pairs are skipped, as in Python.
+ * Writes the order and returns its length (< n on a cycle), or
+ * ORD_OOM. */
+int64_t repro_toposort(
+    int64_t n, const int64_t *cons, int64_t m, int sign, int64_t *order)
+{
+    int64_t *indeg, *start, *succ, *heap;
+    int64_t c, i, k = 0, hsize = 0;
+
+    if (n <= 0) return 0;
+    indeg = (int64_t *)calloc((size_t)n, sizeof(int64_t));
+    start = (int64_t *)calloc((size_t)(n + 1), sizeof(int64_t));
+    succ = (int64_t *)malloc((size_t)(m > 0 ? m : 1) * sizeof(int64_t));
+    heap = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    if (!indeg || !start || !succ || !heap) {
+        free(indeg); free(start); free(succ); free(heap);
+        return ORD_OOM;
+    }
+    /* Successor lists in CSR form. */
+    for (c = 0; c < m; c++) {
+        if (cons[2 * c] != cons[2 * c + 1]) start[cons[2 * c] + 1]++;
+    }
+    for (i = 0; i < n; i++) start[i + 1] += start[i];
+    for (c = 0; c < m; c++) {
+        int64_t f = cons[2 * c], b = cons[2 * c + 1];
+        if (f == b) continue;
+        succ[start[f] + indeg[f]] = b;  /* indeg[f] as a fill cursor */
+        indeg[f]++;
+    }
+    memset(indeg, 0, (size_t)n * sizeof(int64_t));
+    for (c = 0; c < start[n]; c++) indeg[succ[c]]++;
+
+    for (i = 0; i < n; i++) {
+        if (indeg[i] == 0) heap_push(heap, &hsize, sign * i);
+    }
+    while (hsize) {
+        int64_t v = sign * heap_pop(heap, &hsize), s;
+        order[k++] = v;
+        for (s = start[v]; s < start[v + 1]; s++) {
+            if (--indeg[succ[s]] == 0) heap_push(heap, &hsize, sign * succ[s]);
+        }
+    }
+    free(indeg); free(start); free(succ); free(heap);
+    return k;
 }
 """
 

@@ -100,6 +100,20 @@ class ParallelHSR:
         self.measure_sharing = measure_sharing
         self.engine = self.config.engine
 
+    def _order(
+        self, terrain: Terrain, tracker: Optional[PramTracker]
+    ) -> list[int]:
+        engine = self.config.resolved_engine()
+        if tracker is None:
+            return front_to_back_order(terrain, engine=engine)
+        with tracker.phase("ordering"):
+            # The Tamassia–Vitter construction is O(log n) deep with n
+            # processors (paper Fact 1); charge that.
+            n = max(terrain.n_edges, 2)
+            with tracker.parallel() as par:
+                par.spawn(n * math.ceil(math.log2(n)), math.ceil(math.log2(n)))
+            return front_to_back_order(terrain, engine=engine)
+
     def run(
         self,
         terrain: Terrain,
@@ -115,26 +129,11 @@ class ParallelHSR:
         t0 = time.perf_counter()
         image_segments = terrain.image_segments()
 
-        if order is None:
-            if tracker is not None:
-                with tracker.phase("ordering"):
-                    # The Tamassia–Vitter construction is O(log n) deep
-                    # with n processors (paper Fact 1); charge that.
-                    n = max(terrain.n_edges, 2)
-                    with tracker.parallel() as par:
-                        for _ in range(1):
-                            par.spawn(
-                                n * math.ceil(math.log2(n)),
-                                math.ceil(math.log2(n)),
-                            )
-                    order = front_to_back_order(terrain)
-            else:
-                order = front_to_back_order(terrain)
-        order = list(order)
-
-        tree = SeparatorTree(order)
-
         with reliability_run() as report:
+            if order is None:
+                order = self._order(terrain, tracker)
+            order = list(order)
+            tree = SeparatorTree(order)
             if tracker is not None:
                 with tracker.phase("phase1"):
                     pct = build_pct(

@@ -131,25 +131,11 @@ def visible_many(
     return _visible_many_numpy(terrain, points, cfg.eps)
 
 
-def _terrain_query_arrays(terrain: Terrain):
-    """The per-edge lanes the vectorized point kernel scans: map-
-    segment endpoints (front test) and image-segment endpoints
-    (height evaluation), one row per edge."""
-    import numpy as np
-
-    n = terrain.n_edges
-    mat = np.empty((n, 8), dtype=np.float64)
-    for e in range(n):
-        m = terrain.map_segment(e)
-        s = terrain.image_segment(e)
-        mat[e] = (m.x1, m.y1, m.x2, m.y2, s.y1, s.z1, s.y2, s.z2)
-    return mat
-
-
 def _visible_many_numpy(
     terrain: Terrain, points: Sequence[Point3], eps: float
 ) -> list[bool]:
-    """Blocked vectorization of the reference scan.
+    """Blocked vectorization of the reference scan over the terrain's
+    cached :class:`~repro.terrain.edge_table.EdgeTable`.
 
     Replicates the scalar float arithmetic exactly: ``lerp``'s
     ``t == 0 / t == 1`` endpoint shortcuts become ``where`` selects
@@ -158,20 +144,20 @@ def _visible_many_numpy(
     shortcuts too), horizontal map segments and vertical image
     segments take their max-endpoint branches, and every divide runs
     on a masked-safe denominator (the numpy CI leg promotes
-    RuntimeWarning to error).  The reference's running ``max`` is
-    order-independent, so one array reduction matches it bitwise.
+    RuntimeWarning to error).  Map and image segments share their
+    ``y`` lanes, so one ``t`` serves both interpolations.  The
+    reference's running ``max`` is order-independent, so one array
+    reduction matches it bitwise.
     """
     import numpy as np
 
-    mat = _terrain_query_arrays(terrain)
-    mx1, my1, mx2, my2 = mat[:, 0], mat[:, 1], mat[:, 2], mat[:, 3]
-    sy1, sz1, sy2, sz2 = mat[:, 4], mat[:, 5], mat[:, 6], mat[:, 7]
-    m_horiz = my1 == my2
-    s_vert = sy1 == sy2
+    table = terrain.edge_table
+    mx1, my1, mx2, my2 = table.x1, table.y1, table.x2, table.y2
+    sz1, sz2 = table.z1, table.z2
+    flat = my1 == my2  # horizontal in the map, vertical in the image
     m_top = np.maximum(mx1, mx2)
     s_top = np.maximum(sz1, sz2)
-    md = np.where(m_horiz, 1.0, my2 - my1)
-    sd = np.where(s_vert, 1.0, sy2 - sy1)
+    d = np.where(flat, 1.0, my2 - my1)
 
     out: list[bool] = []
     for base in range(0, len(points), _POINT_BLOCK):
@@ -181,27 +167,19 @@ def _visible_many_numpy(
         pz = np.array([p.z for p in block])[:, None]
 
         covers = (my1 <= py) & (py <= my2)
-        tm = (py - my1) / md
+        t = (py - my1) / d
+        at0 = t == 0.0
+        at1 = t == 1.0
         xv = np.where(
-            m_horiz,
+            flat,
             m_top,
-            np.where(
-                tm == 0.0,
-                mx1,
-                np.where(tm == 1.0, mx2, mx1 + (mx2 - mx1) * tm),
-            ),
+            np.where(at0, mx1, np.where(at1, mx2, mx1 + (mx2 - mx1) * t)),
         )
         front = covers & (xv > px + eps)
-
-        ts = (py - sy1) / sd
         zv = np.where(
-            s_vert,
+            flat,
             s_top,
-            np.where(
-                ts == 0.0,
-                sz1,
-                np.where(ts == 1.0, sz2, sz1 + (sz2 - sz1) * ts),
-            ),
+            np.where(at0, sz1, np.where(at1, sz2, sz1 + (sz2 - sz1) * t)),
         )
         best = np.where(front, zv, NEG_INF).max(axis=1)
         vis = (best == NEG_INF) | (pz[:, 0] >= best - eps)
@@ -257,17 +235,19 @@ class VisibilityOracle:
         if next_cut == 0:
             self._profiles.append(env)
             next_cut = next(cut_iter, None)  # type: ignore[assignment]
+        map_segs = terrain.map_segments()
+        image_segs = terrain.image_segments()
         for pos, edge in enumerate(self.order, start=1):
             env = insert_segment(
-                env, terrain.image_segment(edge), eps=self.eps
+                env, image_segs[edge], eps=self.eps
             ).envelope
             if next_cut is not None and pos == next_cut:
                 self._profiles.append(env)
                 next_cut = next(cut_iter, None)  # type: ignore[assignment]
         #: for the front-in-front test we need, per ordered position,
         #: the x of the edge at arbitrary y — keep map segments handy.
-        self._map_segs = [terrain.map_segment(e) for e in self.order]
-        self._image_segs = [terrain.image_segment(e) for e in self.order]
+        self._map_segs = [map_segs[e] for e in self.order]
+        self._image_segs = [image_segs[e] for e in self.order]
 
     @property
     def n_checkpoints(self) -> int:

@@ -77,6 +77,11 @@ class SequentialHSR:
         self.eps = self.config.eps
         self.engine = self.config.engine
 
+    def _order(self, terrain: Terrain) -> list[int]:
+        return front_to_back_order(
+            terrain, engine=self.config.resolved_engine()
+        )
+
     def _insert_loop(
         self,
         terrain: Terrain,
@@ -112,8 +117,9 @@ class SequentialHSR:
             env = Envelope.empty()
         ops = 0
         max_profile = 0
+        segs = terrain.image_segments()
         for edge in order:
-            seg = terrain.image_segment(edge)
+            seg = segs[edge]
             if flat:
                 res = insert_segment_flat(env, seg, eps=eps, config=config)
                 env = res.profile
@@ -142,10 +148,10 @@ class SequentialHSR:
         ordering across algorithms.
         """
         t0 = time.perf_counter()
-        if order is None:
-            order = front_to_back_order(terrain)
         vmap = VisibilityMap()
         with reliability_run() as report:
+            if order is None:
+                order = self._order(terrain)
             _env, ops, max_profile = self._insert_loop(terrain, order, vmap)
         stats = HsrStats(
             n_edges=terrain.n_edges,
@@ -165,8 +171,8 @@ class SequentialHSR:
         front-to-back order, same ops accounting) and returns the
         resulting profile instead of the visibility map.
         """
-        if order is None:
-            order = front_to_back_order(terrain)
         with reliability_run():
+            if order is None:
+                order = self._order(terrain)
             env, _ops, _max_profile = self._insert_loop(terrain, order, None)
         return env

@@ -26,15 +26,33 @@ Degenerate edges whose projection is horizontal in the map plane
 records their neighbour constraints at that single ``y``; they occlude
 a measure-zero sliver only, and their own visibility is decided by a
 point query downstream.
+
+Two implementations answer :func:`front_to_back_order`: this module's
+Python sweep (the oracle, and the path for ``engine="python"``, for
+explicit ``segments=`` lists and without the compiler) and its
+literal transcription in the compiled core
+(:func:`repro.envelope._ccore.order_edges`), which reads the map
+lanes of the terrain's cached
+:class:`~repro.terrain.edge_table.EdgeTable` and runs whenever
+:data:`repro.envelope._ccore.COMPILED_DEFAULT` holds.  The compiled
+answer passes the ``ordering`` guard site before it is returned: the
+order must be a permutation of the edges that puts every constraint's
+front edge first, else the Python sweep recomputes it and the
+incident is recorded.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+import math
+from typing import Optional, Sequence
 
+from repro.envelope import _ccore
+from repro.envelope.engine import HAVE_NUMPY
 from repro.errors import OrderingError
 from repro.geometry.segments import MapSegment
+from repro.reliability import faultinject as _fi
+from repro.reliability import guard as _guard
 from repro.terrain.model import Terrain
 
 __all__ = ["front_to_back_order", "in_front_comparison", "order_constraints"]
@@ -160,29 +178,9 @@ def order_constraints(
     return constraints
 
 
-def front_to_back_order(
-    terrain: Terrain,
-    *,
-    segments: Sequence[MapSegment] | None = None,
-    tie_break: str = "min",
-) -> list[int]:
-    """Front-to-back edge processing order for ``terrain``.
-
-    Returns edge indices such that no later edge ever occludes an
-    earlier one.  Deterministic: among simultaneously-ready edges the
-    smallest index goes first (``tie_break="min"``) or the largest
-    (``tie_break="max"``) — two different valid linear extensions,
-    which the test-suite uses to check that the visibility map is
-    order-independent.  Raises :class:`OrderingError` if the
-    constraint graph has a cycle (impossible for valid terrains;
-    indicates corrupt input).
-    """
-    if tie_break not in ("min", "max"):
-        raise OrderingError(f"unknown tie_break {tie_break!r}")
-    sign = 1 if tie_break == "min" else -1
-    segs = list(segments) if segments is not None else terrain.map_segments()
-    n = len(segs)
-    constraints = order_constraints(segs)
+def _toposort(n: int, constraints, sign: int) -> list[int]:
+    """Kahn's sort: among simultaneously-ready edges the smallest
+    ``sign * index`` goes first."""
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     seen: set[tuple[int, int]] = set()
@@ -202,6 +200,99 @@ def front_to_back_order(
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(heap, sign * j)
+    return order
+
+
+def _python_order(segs: Sequence[MapSegment], sign: int) -> list[int]:
+    return _toposort(len(segs), order_constraints(segs), sign)
+
+
+def _check_order(n: int, cons, order) -> None:
+    """The ``ordering`` guard's pre-commit check: ``order`` is a
+    permutation of ``range(n)`` that puts the front edge of every
+    constraint first (vectorized).  A short order is a cycle, not a
+    kernel fault: the caller raises :class:`OrderingError`."""
+    import numpy as np
+
+    if len(order) < n:
+        return
+    if len(order) > n or (n and (order.min() < 0 or order.max() >= n)):
+        _guard.violation("ordering", "order holds an out-of-range edge")
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[order] = np.arange(n, dtype=np.int64)
+    if n and pos.min() < 0:
+        _guard.violation("ordering", "order is not a permutation of the edges")
+    if len(cons) and not bool((pos[cons[:, 0]] < pos[cons[:, 1]]).all()):
+        _guard.violation("ordering", "order breaks an in-front-of constraint")
+
+
+def _compiled_order(terrain: Terrain, sign: int) -> list[int]:
+    """The compiled sweep and sort over the terrain's map lanes,
+    behind the ``ordering`` guard; the Python sweep is the retry."""
+    table = terrain.edge_table
+    n = len(table)
+    if not table.map_finite():
+        raise _non_finite(n)
+    lanes = table.map_lanes
+    _cons, order = _guard.guarded_call(
+        "ordering",
+        lambda: _ccore.order_edges(lanes, sign),
+        lambda: (None, _python_order(terrain.map_segments(), sign)),
+        check=lambda res: _check_order(n, *res),
+        corrupt=lambda res: (res[0], _fi.corrupt_order("ordering", *res)),
+    )
+    return order if isinstance(order, list) else order.tolist()
+
+
+def _non_finite(n: int) -> OrderingError:
+    return OrderingError(
+        f"non-finite map coordinate among {n} edges: cannot order"
+        " a terrain with NaN or infinite vertices"
+    )
+
+
+def front_to_back_order(
+    terrain: Terrain,
+    *,
+    segments: Sequence[MapSegment] | None = None,
+    tie_break: str = "min",
+    engine: Optional[str] = None,
+) -> list[int]:
+    """Front-to-back edge processing order for ``terrain``.
+
+    Returns edge indices such that no later edge ever occludes an
+    earlier one.  Deterministic: among simultaneously-ready edges the
+    smallest index goes first (``tie_break="min"``) or the largest
+    (``tie_break="max"``) — two different valid linear extensions,
+    which the test-suite uses to check that the visibility map is
+    order-independent.  The compiled core orders the terrain's own
+    edges when it is the default; explicit ``segments`` and
+    ``engine="python"`` take the Python sweep (the same order either
+    way).  Raises :class:`OrderingError` if a map coordinate is not
+    finite or the constraint graph has a cycle (impossible for valid
+    terrains; indicates corrupt input).
+    """
+    if tie_break not in ("min", "max"):
+        raise OrderingError(f"unknown tie_break {tie_break!r}")
+    sign = 1 if tie_break == "min" else -1
+    if (
+        segments is None
+        and engine != "python"
+        and _ccore.COMPILED_DEFAULT
+        and HAVE_NUMPY
+    ):
+        n = terrain.n_edges
+        order = _compiled_order(terrain, sign)
+    else:
+        segs = list(segments) if segments is not None else terrain.map_segments()
+        n = len(segs)
+        if segments is None and HAVE_NUMPY:
+            finite = terrain.edge_table.map_finite()
+        else:
+            finite = all(math.isfinite(v) for s in segs for v in s[:4])
+        if not finite:
+            raise _non_finite(n)
+        order = _python_order(segs, sign)
     if len(order) != n:
         raise OrderingError(
             "in-front-of constraint graph has a cycle"

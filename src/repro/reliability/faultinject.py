@@ -70,6 +70,7 @@ SITES = (
     "phase2_merge",
     "phase2_visibility",
     "rope_splice",
+    "ordering",
     "profile",
 )
 
@@ -398,6 +399,24 @@ def corrupt_lane_block(site: str, buf, ibuf) -> None:
             buf[2, 0] = ya0
     else:
         buf[1, _nan_index(n)] = float("nan")
+
+
+def corrupt_order(site: str, constraints, order):
+    """Corrupt a freshly-built int64 front-to-back order (returns a
+    copy): ``unsorted`` swaps the two edges of the first constraint,
+    ``nan`` repeats an edge (an integer order has no lane to poison).
+    Eligible only when there is a constraint to break."""
+    if not _fires(site, ("unsorted", "nan"), len(constraints) > 0):
+        return order
+    out = order.copy()
+    if _PLAN.mode == "unsorted":  # type: ignore[union-attr]
+        front, back = (int(v) for v in constraints[0])
+        pf = int((out == front).argmax())
+        pb = int((out == back).argmax())
+        out[pf], out[pb] = back, front
+    else:
+        out[1] = out[0]
+    return out
 
 
 def corrupt_env_list(site: str, envs: list) -> list:

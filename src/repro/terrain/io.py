@@ -12,6 +12,7 @@ the boundary with a clear message rather than crashing a kernel later.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -90,12 +91,19 @@ def load_terrain_json(
             raise TerrainError(
                 f"{path}: face {i} is not an index triple: {f!r}"
             ) from exc
+    return _checked_terrain(verts, faces, path)
+
+
+def _checked_terrain(verts, faces, path) -> Terrain:
+    """The loaded terrain, validated.  NaN/Inf vertices surface as
+    ValidationError from the front door, with the path in context,
+    before the constructor would reject them as a TerrainError."""
+    if not all(math.isfinite(c) for v in verts for c in v):
+        validate_terrain(Terrain(verts, [], validate=False), context=str(path))
     try:
         terrain = Terrain(verts, faces, validate=True)
     except ReproError as exc:
         raise TerrainError(f"{path}: {exc}") from exc
-    # NaN/Inf or duplicate-(x, y) vertices surface as ValidationError
-    # with the path already in context.
     return validate_terrain(terrain, context=str(path))
 
 
@@ -149,10 +157,4 @@ def load_terrain_obj(path: Union[str, Path]) -> Terrain:
                     f"{path}:{lineno}: only triangular faces supported"
                 )
             faces.append((idx[0], idx[1], idx[2]))
-    try:
-        terrain = Terrain(verts, faces, validate=True)
-    except ReproError as exc:
-        raise TerrainError(f"{path}: {exc}") from exc
-    # NaN/Inf or duplicate-(x, y) vertices surface as ValidationError
-    # with the path already in context.
-    return validate_terrain(terrain, context=str(path))
+    return _checked_terrain(verts, faces, path)

@@ -15,14 +15,24 @@ camera, which keeps the algorithm's coordinate conventions fixed.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import TerrainError
 from repro.geometry.predicates import segments_intersect_exact
 from repro.geometry.primitives import Point2, Point3
 from repro.geometry.segments import ImageSegment, MapSegment
 
+if TYPE_CHECKING:
+    from repro.terrain.edge_table import EdgeTable
+
 __all__ = ["Terrain"]
+
+try:  # the edge table is array-based; per-edge projections without it
+    import numpy  # noqa: F401
+
+    _HAVE_NUMPY = True
+except ImportError:  # pragma: no cover - numpy ships in the toolchain
+    _HAVE_NUMPY = False
 
 
 class Terrain:
@@ -31,9 +41,9 @@ class Terrain:
     Parameters
     ----------
     vertices:
-        Surface points; their xy-projections must be pairwise distinct
-        (checked — duplicate xy with different z would violate
-        ``z = f(x, y)``).
+        Surface points; their coordinates must be finite and their
+        xy-projections pairwise distinct (checked — duplicate xy with
+        different z would violate ``z = f(x, y)``).
     faces:
         Triangles as vertex index triples.  Edges are derived.
     validate:
@@ -42,7 +52,7 @@ class Terrain:
         (:meth:`check_planarity`) because it is quadratic.
     """
 
-    __slots__ = ("vertices", "faces", "_edges")
+    __slots__ = ("vertices", "faces", "_edges", "_table")
 
     def __init__(
         self,
@@ -58,6 +68,7 @@ class Terrain:
         if validate:
             self._validate()
         self._edges: Optional[list[tuple[int, int]]] = None
+        self._table = None
 
     # -- invariants ----------------------------------------------------
 
@@ -65,6 +76,13 @@ class Terrain:
         n = len(self.vertices)
         seen_xy: dict[tuple[float, float], int] = {}
         for i, v in enumerate(self.vertices):
+            if not (
+                math.isfinite(v.x) and math.isfinite(v.y) and math.isfinite(v.z)
+            ):
+                raise TerrainError(
+                    f"vertex {i} has a non-finite coordinate"
+                    f" ({v.x!r}, {v.y!r}, {v.z!r})"
+                )
             key = (v.x, v.y)
             if key in seen_xy:
                 raise TerrainError(
@@ -112,6 +130,8 @@ class Terrain:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Sorted unique undirected edges ``(i, j)`` with ``i < j``."""
+        if self._edges is None and _HAVE_NUMPY:
+            self._edges = self.edge_table.edge_list()
         if self._edges is None:
             seen: set[tuple[int, int]] = set()
             for a, b, c in self.faces:
@@ -128,6 +148,8 @@ class Terrain:
     @property
     def n_edges(self) -> int:
         """The paper's input size ``n``."""
+        if _HAVE_NUMPY:
+            return len(self.edge_table)
         return len(self.edges)
 
     @property
@@ -150,10 +172,25 @@ class Terrain:
         a, b = self.edge_endpoints(edge_index)
         return ImageSegment.make(a.project_zy(), b.project_zy(), edge_index)
 
+    @property
+    def edge_table(self) -> "EdgeTable":
+        """Map and image projections of every edge as float64 lanes
+        (:class:`~repro.terrain.edge_table.EdgeTable`), built on first
+        use and cached on this instance only.  Requires numpy."""
+        if self._table is None:
+            from repro.terrain.edge_table import EdgeTable
+
+            self._table = EdgeTable.build(self.vertices, self.faces)
+        return self._table
+
     def map_segments(self) -> list[MapSegment]:
+        if _HAVE_NUMPY:
+            return self.edge_table.map_segments(self.vertices)
         return [self.map_segment(e) for e in range(self.n_edges)]
 
     def image_segments(self) -> list[ImageSegment]:
+        if _HAVE_NUMPY:
+            return self.edge_table.image_segments(self.vertices)
         return [self.image_segment(e) for e in range(self.n_edges)]
 
     # -- transforms -------------------------------------------------------

@@ -32,6 +32,7 @@ if not HAVE_NUMPY:  # pragma: no cover - numpy ships in the toolchain
         "test_hsr_zbuffer.py",
         "test_parallel_exec.py",
         "test_ordering.py",
+        "test_ordering_ccore.py",
         "test_adversarial.py",
         "test_reliability.py",
         "test_pram_pool.py",

@@ -116,6 +116,13 @@ class TestRenderAndInfo:
         out = capsys.readouterr().out
         assert "repro" in out
         assert "E1" in out
+        from repro.envelope import _ccore
+
+        assert "numpy: " in out
+        loaded = "loaded" if _ccore.HAVE_CCORE else "absent"
+        assert f"compiled core: {loaded}" in out
+        assert "compiled default: " in out
+        assert "guard mode: " in out
 
     def test_bench_single(self, capsys):
         rc = main(["bench", "E9"])
